@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, OdeSolution
 
 from .errors import StepFailure
 from .games import Game
@@ -112,7 +112,8 @@ class Trajectory:
     method: str
     stopped_early: bool = False
     meta: dict = field(default_factory=dict)
-    _segments: list = field(default_factory=list, repr=False)  # dense interpolants
+    # RK45 dense output over all steps; None for the fixed-step record
+    _solution: OdeSolution | None = field(default=None, repr=False)
 
     @property
     def accepted_steps(self) -> int:
@@ -128,24 +129,20 @@ class Trajectory:
     def state_at(self, k: int) -> ExtendedState:
         return extended_state(_clip(self.raw[k]), tol=DRIFT_TOL)
 
-    def interp_raw(self, t: float) -> np.ndarray:
-        """Raw state at an arbitrary time inside the integrated span."""
-        if self._segments:
-            for (a, b, sol) in self._segments:
-                if a <= t <= b:
-                    return sol(t).reshape(self.params.n, self.params.m)
+    def interp_raw(self, t) -> np.ndarray:
+        """Raw state at a time, or states at an array of times, inside the
+        integrated span: the solver's dense output for RK45, linear
+        interpolation between steps for the fixed-step record."""
+        t = np.asarray(t, dtype=float)
+        ts = self.step_times
+        if t.size and (t.min() < ts[0] or t.max() > ts[-1] + 1e-12):
             raise ValueError(f"t={t} outside the integrated span")
-        # fixed-step record: linear interpolation between steps
-        idx = np.searchsorted(self.step_times, t)
-        if idx == 0:
-            return self.step_raw[0]
-        if idx >= len(self.step_times):
-            if t > self.step_times[-1] + 1e-12:
-                raise ValueError(f"t={t} outside the integrated span")
-            return self.step_raw[-1]
-        t0, t1 = self.step_times[idx - 1], self.step_times[idx]
-        w = (t - t0) / (t1 - t0)
-        return (1 - w) * self.step_raw[idx - 1] + w * self.step_raw[idx]
+        if self._solution is not None:
+            y = np.moveaxis(self._solution(t), 0, -1)
+            return y.reshape(t.shape + (self.params.n, self.params.m))
+        k = np.clip(np.searchsorted(ts, t), 1, len(ts) - 1)
+        w = np.minimum((t - ts[k - 1]) / (ts[k] - ts[k - 1]), 1.0)[..., None, None]
+        return (1 - w) * self.step_raw[k - 1] + w * self.step_raw[k]
 
 
 def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
@@ -156,68 +153,22 @@ def rk4_step(f, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _integrate_rk45(f, y0, horizon, opts, game, params, early_stop):
-    chunk = EARLY_STOP_WINDOW
-    segments = []
-    step_times = [0.0]
-    step_states = [y0.copy()]
-    low_since: float | None = None
-    t = 0.0
-    y = y0
-    stopped = False
-    while t < horizon - 1e-12:
-        t_next = min(t + chunk, horizon)
-        sol = solve_ivp(
-            f, (t, t_next), y, method="RK45", rtol=opts.rtol, atol=opts.atol,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise StepFailure(sol.message)
-        segments.append((t, t_next, sol.sol))
-        for k in range(1, len(sol.t)):
-            step_times.append(float(sol.t[k]))
-            step_states.append(sol.y[:, k].copy())
-            if early_stop:
-                res = ene_residual(game, sol.y[:, k].reshape(params.n, params.m))
-                if res < EARLY_STOP_RESIDUAL:
-                    if low_since is None:
-                        low_since = float(sol.t[k])
-                else:
-                    low_since = None
-        t = t_next
-        y = sol.y[:, -1]
-        if early_stop and low_since is not None and t - low_since >= EARLY_STOP_WINDOW:
-            stopped = True
-            break
-    return segments, np.array(step_times), np.array(step_states), t, stopped
+def _rk45_steps(f, y0, horizon, opts):
+    """Accepted steps of one RK45 run: (t, y, dense interpolant)."""
+    rk = RK45(f, 0.0, y0, horizon, rtol=opts.rtol, atol=opts.atol)
+    while rk.status == "running":
+        message = rk.step()
+        if rk.status == "failed":
+            raise StepFailure(message)
+        yield rk.t, rk.y, rk.dense_output()
 
 
-def _integrate_rk4(f, y0, horizon, opts, game, params, early_stop):
+def _rk4_steps(f, y0, horizon, opts):
     h = opts.step
-    nsteps = int(round(horizon / h))
-    step_times = [0.0]
-    step_states = [y0.copy()]
-    low_since: float | None = None
-    y = y0.copy()
-    t_end = horizon
-    stopped = False
-    for k in range(1, nsteps + 1):
-        t = k * h
+    y = y0
+    for k in range(1, int(round(horizon / h)) + 1):
         y = rk4_step(f, (k - 1) * h, y, h)
-        step_times.append(t)
-        step_states.append(y.copy())
-        if early_stop:
-            res = ene_residual(game, y.reshape(params.n, params.m))
-            if res < EARLY_STOP_RESIDUAL:
-                if low_since is None:
-                    low_since = t
-                elif t - low_since >= EARLY_STOP_WINDOW:
-                    t_end = t
-                    stopped = True
-                    break
-            else:
-                low_since = None
-    return [], np.array(step_times), np.array(step_states), t_end, stopped
+        yield k * h, y, None
 
 
 def integrate(
@@ -232,12 +183,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate the revision dynamics from x0 over [0, horizon].
 
-    Adaptive embedded Runge-Kutta 4(5) by default, with a fixed-step RK4
-    option for bitwise-reproducible runs.  Integration proceeds in
-    one-time-unit segments so the early-stop rule (equilibrium residual
-    below 1e-6 for a full unit) can cut the run short.  Negative roundoff
-    entries are clipped and renormalized only when states are materialized,
-    never inside the stepper.
+    Adaptive embedded Runge-Kutta 4(5) by default, stepped in one pass over
+    the whole span, with a fixed-step RK4 option for bitwise-reproducible
+    runs.  The early-stop rule (equilibrium residual below 1e-6 for a full
+    time unit) is checked at every accepted step, so a stopped run ends at
+    that step's time.  Negative roundoff entries are clipped and
+    renormalized only when states are materialized, never inside the
+    stepper.
     """
     if solver is None:
         solver = SolverOptions()
@@ -245,38 +197,48 @@ def integrate(
         raise ValueError("sample_dt must be positive")
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    steppers = {"rk45": _rk45_steps, "rk4": _rk4_steps}
+    if solver.method not in steppers:
+        raise ValueError(f"unknown solver method {solver.method!r}")
     x0 = extended_state(_as_grid(x0, params))
     f = field_function(game, protocol, params)
     y0 = x0.grid.ravel().copy()
 
-    if solver.method == "rk45":
-        segments, step_times, step_states, t_end, stopped = _integrate_rk45(
-            f, y0, horizon, solver, game, params, early_stop
-        )
-    elif solver.method == "rk4":
-        segments, step_times, step_states, t_end, stopped = _integrate_rk4(
-            f, y0, horizon, solver, game, params, early_stop
-        )
-    else:
-        raise ValueError(f"unknown solver method {solver.method!r}")
+    step_times, step_states, interpolants = [0.0], [y0], []
+    low_since: float | None = None
+    t_end, stopped = horizon, False
+    for t, y, dense in steppers[solver.method](f, y0, horizon, solver):
+        step_times.append(t)
+        step_states.append(y)
+        if dense is not None:
+            interpolants.append(dense)
+        if not early_stop:
+            continue
+        if ene_residual(game, y.reshape(params.n, params.m)) >= EARLY_STOP_RESIDUAL:
+            low_since = None
+        elif low_since is None:
+            low_since = t
+        elif t - low_since >= EARLY_STOP_WINDOW:
+            t_end, stopped = t, True
+            break
 
     grid = np.arange(0.0, t_end + sample_dt * 1e-9, sample_dt)
     if grid[-1] < t_end - sample_dt * 1e-9:
         grid = np.append(grid, t_end)
 
+    step_times = np.array(step_times)
     traj = Trajectory(
         times=grid,
-        raw=np.empty((len(grid), params.n, params.m)),
+        raw=np.empty(0),
         step_times=step_times,
-        step_raw=step_states.reshape(len(step_times), params.n, params.m),
+        step_raw=np.array(step_states).reshape(len(step_times), params.n, params.m),
         params=params,
         method=solver.method,
         stopped_early=stopped,
         meta={"rtol": solver.rtol, "atol": solver.atol, "step": solver.step},
-        _segments=segments,
+        _solution=OdeSolution(step_times, interpolants) if interpolants else None,
     )
-    for k, t in enumerate(grid):
-        traj.raw[k] = traj.interp_raw(float(t))
+    traj.raw = traj.interp_raw(grid)
     return traj
 
 

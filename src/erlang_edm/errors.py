@@ -28,6 +28,10 @@ class NegativeStayRate(Exception):
             "rate budget is insufficient at this state"
         )
 
+    def __reduce__(self):
+        # worker processes return exceptions through pickle
+        return type(self), (self.row, self.stay_rate, str(self))
+
 
 class NotImpartial(Exception):
     """Operation requires an impartial pairwise-comparison protocol."""

@@ -2,58 +2,49 @@
 
 A protocol assigns each (current strategy i, candidate j) an off-diagonal
 switch rate; the diagonal "stay" rate is whatever is left of the budget
-lambda, and rows always sum to lambda exactly.  Pairwise-comparison (PC)
+lambda, and rows always sum to lambda exactly.  Pairwise-comparison
 protocols react only to payoffs, switching toward strictly better ones;
 the impartial subclass (IPC) uses per-destination functions of the payoff
 difference, phi_j, whose antiderivatives Psi_j feed the Lyapunov
 diagnostics.
+
+The contract is array-valued: `rates(xbar, p)` gives the whole switch-rate
+matrix, and an impartial protocol's `psi_totals(p)` gives every strategy's
+Psi total at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NegativeStayRate, NotImpartial
+from .errors import NegativeStayRate
 
 GENERAL = "general"
-PC = "pairwise-comparison"
 IPC = "impartial-pairwise-comparison"
+
+# Stay rates down to -STAY_ROUNDOFF * lambda are float roundoff of a row
+# whose switch rates sum to exactly lambda, not an exhausted budget.
+STAY_ROUNDOFF = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class RevisionProtocol:
     n: int
     rate_budget: float
+    # (xbar, payoffs) -> fresh float n x n switch-rate matrix, zero diagonal
+    rates: Callable[[np.ndarray, np.ndarray], np.ndarray]
     kind: str = GENERAL
     name: str = "custom"
-    # (i, j, xbar, payoffs) -> rate, for i != j
-    off_diagonal: Callable[[int, int, np.ndarray, np.ndarray], float] | None = None
-    # optional vectorized fast path: (xbar, payoffs) -> n x n matrix with zero diagonal
-    off_diagonal_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    # IPC only: per-destination rate functions of the payoff difference and
-    # their antiderivatives Psi_j(s) = integral_0^s phi_j
-    phi: tuple[Callable[[float], float], ...] | None = None
-    psi: tuple[Callable[[float], float], ...] | None = None
+    # IPC only: payoffs -> S with S[i] = sum_k Psi_k(p_k - p_i), where
+    # Psi_k(s) = integral_0^s phi_k; None for a protocol that is not impartial
+    psi_totals: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def is_impartial(self) -> bool:
         return self.kind == IPC
-
-    def rates(self, xbar: np.ndarray, payoffs: np.ndarray) -> np.ndarray:
-        """Off-diagonal rate matrix at (xbar, payoffs); zero diagonal."""
-        if self.off_diagonal_matrix is not None:
-            off = np.array(self.off_diagonal_matrix(xbar, payoffs), dtype=float)
-        else:
-            off = np.zeros((self.n, self.n))
-            for i in range(self.n):
-                for j in range(self.n):
-                    if i != j:
-                        off[i, j] = self.off_diagonal(i, j, xbar, payoffs)
-        np.fill_diagonal(off, 0.0)
-        return off
 
 
 def smith_protocol(n: int, rate_budget: float) -> RevisionProtocol:
@@ -61,24 +52,23 @@ def smith_protocol(n: int, rate_budget: float) -> RevisionProtocol:
     if rate_budget <= 0:
         raise ValueError("rate budget must be positive")
 
-    def offdiag(i: int, j: int, xbar, p) -> float:
-        return max(float(p[j]) - float(p[i]), 0.0)
-
-    def offdiag_matrix(xbar, p) -> np.ndarray:
+    def gains(p) -> np.ndarray:
+        # entry (i, j) is phi(p_j - p_i) with phi(s) = max(s, 0)
         p = np.asarray(p, dtype=float)
         return np.maximum(p[None, :] - p[:, None], 0.0)
 
-    phi_one = lambda s: s if s > 0 else 0.0
-    psi_one = lambda s: 0.5 * s * s if s > 0 else 0.0
+    def psi_totals(p) -> np.ndarray:
+        # Psi(s) = max(s, 0)^2 / 2
+        d = gains(p)
+        return 0.5 * (d * d).sum(axis=1)
+
     return RevisionProtocol(
         n=n,
         rate_budget=float(rate_budget),
+        rates=lambda xbar, p: gains(p),
         kind=IPC,
         name="smith",
-        off_diagonal=offdiag,
-        off_diagonal_matrix=offdiag_matrix,
-        phi=tuple([phi_one] * n),
-        psi=tuple([psi_one] * n),
+        psi_totals=psi_totals,
     )
 
 
@@ -91,10 +81,9 @@ def null_protocol(n: int, rate_budget: float) -> RevisionProtocol:
     return RevisionProtocol(
         n=n,
         rate_budget=float(rate_budget),
+        rates=lambda xbar, p: np.zeros((n, n)),
         kind=GENERAL,
         name="null",
-        off_diagonal=lambda i, j, xbar, p: 0.0,
-        off_diagonal_matrix=lambda xbar, p: np.zeros((n, n)),
     )
 
 
@@ -103,37 +92,16 @@ def switch_rate_matrix(protocol: RevisionProtocol, xbar, payoffs) -> np.ndarray:
 
     The diagonal is computed as budget minus the off-diagonal row sum, so
     rows sum to the budget bitwise.  Raises NegativeStayRate when some row's
-    off-diagonal rates exceed the budget; we never clamp.
+    off-diagonal rates exceed the budget by more than roundoff; we never
+    clamp, so a roundoff-level negative stay rate is kept as computed.
     """
-    xbar = np.asarray(getattr(xbar, "entries", xbar), dtype=float)
-    payoffs = np.asarray(getattr(payoffs, "entries", payoffs), dtype=float)
-    off = protocol.rates(xbar, payoffs)
-    if off.min() < 0:
+    T = protocol.rates(xbar, payoffs)
+    if T.min() < 0:
         raise ValueError("off-diagonal switch rates must be nonnegative")
-    stay = protocol.rate_budget - off.sum(axis=1)
-    worst = int(np.argmin(stay))
-    if stay[worst] < 0:
+    lam = protocol.rate_budget
+    stay = lam - T.sum(axis=1)
+    worst = int(stay.argmin())
+    if stay[worst] < -STAY_ROUNDOFF * lam:
         raise NegativeStayRate(worst, float(stay[worst]))
-    T = off
-    T[np.diag_indices_from(T)] = stay
+    T.flat[:: protocol.n + 1] = stay
     return T
-
-
-def phi_matrix(protocol: RevisionProtocol, payoffs) -> np.ndarray:
-    """Pairwise-rate matrix of an impartial protocol at given payoffs.
-
-    Entry (i, j), i != j, is phi_i(p_i - p_j); the diagonal carries the
-    total outflow rate sum_j phi_j(p_j - p_i).  Requires the IPC tag.
-    """
-    if not protocol.is_impartial:
-        raise NotImpartial(f"protocol {protocol.name!r} is not impartial")
-    p = np.asarray(getattr(payoffs, "entries", payoffs), dtype=float)
-    n = protocol.n
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i, i] = sum(protocol.phi[k](float(p[k] - p[i])) for k in range(n))
-            else:
-                out[i, j] = protocol.phi[i](float(p[i] - p[j]))
-    return out

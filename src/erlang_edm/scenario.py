@@ -104,12 +104,33 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _as_float(value, name: str) -> float:
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+             f"{name} must be a number, got {value!r}")
     try:
         v = float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise ScenarioError(f"{name} must be finite") from None
     _require(np.isfinite(v), f"{name} must be finite")
     return v
+
+
+def _as_int(value, name: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _as_list(value, name: str, length: int | None = None) -> list:
+    _require(isinstance(value, list), f"{name} must be a list")
+    _require(length is None or len(value) == length,
+             f"{name} must have length {length}")
+    return value
+
+
+def _as_matrix(value, rows: int, cols: int, name: str) -> list[list[float]]:
+    shape = f"{name} must be {rows}x{cols}"
+    return [[_as_float(v, name) for v in _as_list(row, shape, cols)]
+            for row in _as_list(value, shape, rows)]
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
@@ -122,7 +143,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     _require(isinstance(params, dict), "params must be an object")
     for key in ("n", "m", "lambda"):
         _require(key in params, f"params is missing {key!r}")
-    n, m = int(params["n"]), int(params["m"])
+    n, m = _as_int(params["n"], "params.n"), _as_int(params["m"], "params.m")
     lam = _as_float(params["lambda"], "params.lambda")
     _require(n >= 1, "params.n must be >= 1")
     _require(m >= 1, "params.m must be >= 1")
@@ -136,28 +157,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
         "game needs exactly one of 'matrix' or 'congestion'",
     )
     if "matrix" in game:
-        W = np.asarray(game["matrix"], dtype=float)
-        _require(W.ndim == 2 and W.shape == (n, n), f"game.matrix must be {n}x{n}")
-        _require(bool(np.all(np.isfinite(W))), "game.matrix must be finite")
-        game_n = {"matrix": [[float(v) for v in row] for row in W]}
+        game_n = {"matrix": _as_matrix(game["matrix"], n, n, "game.matrix")}
     else:
         spec = game["congestion"]
         _require(isinstance(spec, dict), "game.congestion must be an object")
         for key in ("link_costs", "routes"):
             _require(key in spec, f"game.congestion is missing {key!r}")
-        costs = [_as_float(v, "link cost") for v in spec["link_costs"]]
+        costs = [_as_float(v, "link cost")
+                 for v in _as_list(spec["link_costs"], "game.congestion.link_costs")]
         _require(len(costs) > 0 and all(v > 0 for v in costs),
                  "link costs must be positive")
-        routes = spec["routes"]
-        _require(len(routes) == n, f"congestion game needs {n} routes")
+        routes = [[_as_int(l, "route link") for l in _as_list(r, "route")]
+                  for r in _as_list(spec["routes"], "game.congestion.routes", n)]
         for r in routes:
             _require(len(r) > 0, "every route must contain at least one link")
-            _require(all(1 <= int(l) <= len(costs) for l in r),
+            _require(all(1 <= l <= len(costs) for l in r),
                      "route references an unknown link")
-        game_n = {"congestion": {
-            "link_costs": costs,
-            "routes": [[int(l) for l in r] for r in routes],
-        }}
+        game_n = {"congestion": {"link_costs": costs, "routes": routes}}
 
     protocol = doc["protocol"]
     _require(isinstance(protocol, dict) and "name" in protocol,
@@ -169,25 +185,24 @@ def scenario_from_dict(doc: dict) -> Scenario:
     initial = doc["initial"]
     _require(isinstance(initial, dict), "initial must be an object")
     if "extended" in initial:
-        grid = np.asarray(initial["extended"], dtype=float)
-        _require(grid.shape == (n, m), f"initial.extended must be {n}x{m}")
+        grid = _as_matrix(initial["extended"], n, m, "initial.extended")
         try:
             extended_state(grid)
         except ValueError as exc:
             raise ScenarioError(f"initial state invalid: {exc}") from None
-        initial_n = {"extended": [[float(v) for v in row] for row in grid]}
+        initial_n = {"extended": grid}
     else:
         _require("aggregate" in initial,
                  "initial needs 'extended' or 'aggregate'")
-        vec = np.asarray(initial["aggregate"], dtype=float)
-        _require(vec.shape == (n,), f"initial.aggregate must have length {n}")
+        vec = [_as_float(v, "initial.aggregate")
+               for v in _as_list(initial["aggregate"], "initial.aggregate", n)]
         try:
             population_state(vec)
         except ValueError as exc:
             raise ScenarioError(f"initial state invalid: {exc}") from None
         ext = initial.get("extension", "uniform")
         _require(ext in _EXTENSIONS, f"initial.extension must be one of {_EXTENSIONS}")
-        initial_n = {"aggregate": [float(v) for v in vec], "extension": ext}
+        initial_n = {"aggregate": vec, "extension": ext}
 
     run = doc["run"]
     _require(isinstance(run, dict), "run must be an object")
@@ -205,17 +220,23 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _require(isinstance(st, dict), "stochastic must be an object")
         for key in ("N", "seeds"):
             _require(key in st, f"stochastic is missing {key!r}")
-        N = int(st["N"])
+        N = _as_int(st["N"], "stochastic.N")
         _require(N >= 1, "stochastic.N must be >= 1")
-        seeds = [int(s) for s in st["seeds"]]
+        seeds = [_as_int(s, "stochastic seed")
+                 for s in _as_list(st["seeds"], "stochastic.seeds")]
         _require(len(seeds) >= 1, "stochastic.seeds must be nonempty")
+        _require(min(seeds) >= 0, "stochastic seeds must be nonnegative")
+        # each seed names its own output files
+        _require(len(set(seeds)) == len(seeds), "stochastic.seeds must be distinct")
         stochastic_n = {"N": N, "seeds": seeds}
         if "horizon" in st:
             sh = _as_float(st["horizon"], "stochastic.horizon")
             _require(sh > 0, "stochastic.horizon must be positive")
             stochastic_n["horizon"] = sh
         if "record_events" in st:
-            stochastic_n["record_events"] = bool(st["record_events"])
+            _require(isinstance(st["record_events"], bool),
+                     "stochastic.record_events must be true or false")
+            stochastic_n["record_events"] = st["record_events"]
 
     analysis_n = None
     if "analysis" in doc and doc["analysis"] is not None:

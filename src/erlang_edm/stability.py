@@ -273,17 +273,6 @@ def alpha_max(m: int, gamma_lower: float, M: np.ndarray, B: np.ndarray) -> float
     return (m + 1) * gamma_lower / (2.0 * norm_mb**2)
 
 
-def _psi_totals(protocol: RevisionProtocol, p: np.ndarray) -> np.ndarray:
-    """S[i] = sum_k Psi_k(p_k - p_i), the per-strategy advantage mass."""
-    n = p.shape[0]
-    S = np.zeros(n)
-    for k in range(n):
-        psi_k = protocol.psi[k]
-        for i in range(n):
-            S[i] += psi_k(float(p[k] - p[i]))
-    return S
-
-
 def _grid_of(x) -> np.ndarray:
     return x.grid if isinstance(x, ExtendedState) else np.asarray(x, dtype=float)
 
@@ -302,7 +291,7 @@ def lyapunov_value(x, p, alpha: float, protocol: RevisionProtocol, M: np.ndarray
     pv = np.asarray(getattr(p, "entries", p), dtype=float)
     m = g.shape[1]
     xbar = g.sum(axis=1)
-    S = _psi_totals(protocol, pv)
+    S = protocol.psi_totals(pv)
     value = float(xbar @ S)
     if m > 1:
         s = (g[:, : m - 1] - g[:, [m - 1]]).T.ravel()
@@ -345,7 +334,7 @@ def pq_decomposition(
     xbardot = phi_net @ z
     pdot = np.asarray(game.jacobian(xbar), dtype=float) @ xbardot
 
-    S = _psi_totals(protocol, p)
+    S = protocol.psi_totals(p)
     offsum = lam - np.diag(T)
     phi_od = phi_net - np.diag(np.diag(phi_net))
     if m > 1:
@@ -389,13 +378,11 @@ def lyapunov_series(
     the sampled state rather than differencing the dense interpolant; the
     local truncation error is far below the interpolant's noise floor.
     """
-    if times is None:
-        times = traj.times
+    times = traj.times if times is None else np.asarray(times, dtype=float)
     f = field_function(game, protocol, params)
     out = []
-    for t in np.asarray(times, dtype=float):
-        y = traj.interp_raw(float(t)).ravel()
-        grid = y.reshape(params.n, params.m)
+    for t, grid in zip(times, traj.interp_raw(times)):
+        y = grid.ravel()
         p = np.asarray(game.payoff(grid.sum(axis=1)), dtype=float)
         L = lyapunov_value(grid, p, alpha, protocol, M)
         P, Q = pq_decomposition(grid, game, protocol, params, alpha, M, B)

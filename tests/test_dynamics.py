@@ -149,6 +149,32 @@ def test_accepted_steps_stay_nonnegative():
     assert max(abs(step.sum() - 1.0) for step in traj.step_raw) <= 1e-6
 
 
+@pytest.mark.parametrize("method", ["rk45", "rk4"])
+def test_single_sampling_path(method):
+    game, proto = congestion_game_61(), edm.smith_protocol(3, 5.0)
+    params = edm.ErlangParams(3, 3, 5.0)
+    x0 = np.zeros((3, 3))
+    x0[0, 2], x0[1, 0], x0[2, 0] = 0.2, 0.2, 0.6
+    traj = edm.integrate(
+        game, proto, params, x0, horizon=2.0, sample_dt=0.1, early_stop=False,
+        solver=edm.SolverOptions(method=method, step=0.01),
+    )
+    # the sample grid is filled by the same call a user makes
+    assert np.array_equal(traj.raw, traj.interp_raw(traj.times))
+    at_steps = traj.interp_raw(traj.step_times)
+    assert at_steps.shape == traj.step_raw.shape
+    if method == "rk4":
+        assert np.array_equal(at_steps, traj.step_raw)
+    else:
+        # a step time is the end of the interpolant that OdeSolution picks,
+        # so the polynomial meets the step's state up to roundoff
+        assert np.max(np.abs(at_steps - traj.step_raw)) <= 1e-14
+    assert np.array_equal(traj.interp_raw(0.0), x0)
+    assert traj.interp_raw(traj.step_times[3]).shape == (3, 3)
+    with pytest.raises(ValueError):
+        traj.interp_raw(2.5)
+
+
 def test_early_stop_cuts_horizon():
     game, proto = congestion_game_61(), edm.smith_protocol(3, 5.0)
     params = edm.ErlangParams(3, 3, 5.0)
@@ -157,6 +183,8 @@ def test_early_stop_cuts_horizon():
     traj = edm.integrate(game, proto, params, x0, horizon=150.0, sample_dt=0.05)
     assert traj.stopped_early
     assert traj.t_final < 150.0
+    # the rule is checked at every accepted step, so the run ends on one
+    assert traj.t_final == traj.step_times[-1]
     assert edm.ene_residual(game, traj.states()[-1]) <= 1e-6
 
 

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import erlang_edm as edm
 from erlang_edm import cli, runner
@@ -123,6 +125,82 @@ def test_congestion_route_validation():
     )
     with pytest.raises(ScenarioError):
         edm.scenario_from_dict(doc)
+
+
+def test_fractional_count_rejected():
+    # used to be truncated to n = 3
+    doc = small_doc()
+    doc["params"]["n"] = 3.7
+    with pytest.raises(ScenarioError, match="params.n"):
+        edm.scenario_from_dict(doc)
+
+
+def test_record_events_must_be_boolean():
+    # used to be read as true, since bool("false") is True
+    doc = small_doc(stochastic={"N": 50, "seeds": [0], "record_events": "false"})
+    with pytest.raises(ScenarioError, match="record_events"):
+        edm.scenario_from_dict(doc)
+
+
+def test_duplicate_seeds_rejected():
+    # both runs of seed 3 would write agents_seed3.csv
+    doc = small_doc(stochastic={"N": 50, "seeds": [3, 3]})
+    with pytest.raises(ScenarioError, match="distinct"):
+        edm.scenario_from_dict(doc)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+VALID_DOCS = [
+    small_doc(
+        stochastic={"N": 50, "seeds": [0, 1], "horizon": 1.0, "record_events": True},
+        analysis={"alpha": "auto", "gamma_lower": 1.0, "c": 4.0},
+    ),
+    small_doc(initial={"aggregate": [0.5, 0.25, 0.25], "extension": "stage_one"}),
+    edm.bundled_scenario("congestion_sec6_1").to_dict(),
+]
+
+
+def _paths(value, prefix=()):
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, inner in items:
+        yield prefix + (key,)
+        yield from _paths(inner, prefix + (key,))
+
+
+@st.composite
+def edited_docs(draw):
+    """A valid document with one entry replaced by any JSON value, or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(json_values, edited_docs()))
+def test_parsing_raises_only_scenario_error(doc):
+    try:
+        sc = edm.scenario_from_dict(doc)
+    except ScenarioError:
+        return
+    assert edm.scenario_from_dict(sc.to_dict()) == sc
 
 
 # -- runners ---------------------------------------------------------------
@@ -279,6 +357,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     path5 = write_doc(tmp_path, expanding, "expanding.json")
     assert cli.main(["stability", path5, "-o", str(tmp_path)]) == 5
     capsys.readouterr()
+
+
+def test_cli_worker_error_exit_code(tmp_path, capsys, monkeypatch):
+    # the mean field sits still at the centre, but rounding N = 3 agents puts
+    # all of them on strategy 1; at that vertex strategy 3's Smith outflow is
+    # 7 > lambda = 5, so each worker process raises NegativeStayRate
+    doc = small_doc(
+        initial={"aggregate": [1 / 3, 1 / 3, 1 / 3]},
+        stochastic={"N": 3, "seeds": [1, 2]},
+    )
+    doc["params"]["lambda"] = 5.0
+    path = write_doc(tmp_path, doc)
+    monkeypatch.setenv("EDM_THREADS", "2")
+    assert cli.main(["agents", path, "-o", str(tmp_path / "out")]) == 3
+    assert "stay rate" in capsys.readouterr().err
 
 
 def test_cli_version(capsys):
