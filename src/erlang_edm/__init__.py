@@ -70,9 +70,7 @@ from .scenario import (
 from .stability import (
     LyapunovSample,
     StabilityReport,
-    SystemMatrices,
     alpha_max,
-    build_system_matrices,
     compute_c,
     lambda_lower_bound,
     lyapunov_series,
@@ -126,12 +124,10 @@ __all__ = [
     "SolverOptions",
     "StabilityReport",
     "StepFailure",
-    "SystemMatrices",
     "TildeState",
     "Trajectory",
     "aggregate",
     "alpha_max",
-    "build_system_matrices",
     "bundled_scenario",
     "bundled_scenario_names",
     "check_consistency",

@@ -23,7 +23,6 @@ from .games import contractivity_margins
 from .scenario import Scenario, scenario_from_dict
 from .stability import (
     alpha_max,
-    build_system_matrices,
     lyapunov_series,
     solve_lyapunov,
     stability_report,
@@ -217,16 +216,20 @@ def run_lyapunov(scenario: Scenario, outdir: str) -> dict:
     protocol = scenario.build_protocol()
     params = scenario.build_params()
 
-    sysmat = build_system_matrices(params.n, params.m)
-    matrix_m = solve_lyapunov(sysmat)
+    matrix_m = solve_lyapunov(params.m)
     overrides = scenario.overrides()
     if "gamma_lower" in overrides:
         gamma_lower = float(overrides["gamma_lower"])
     else:
         gamma_lower = contractivity_margins(game).gamma_lower
 
+    # L, P and Q need no contractivity: with an explicit alpha and no
+    # positive margin the bound is reported as null; "auto" raises
+    # NonContractive there.
     setting = scenario.alpha_setting()
-    a_max = alpha_max(params.m, gamma_lower, matrix_m, sysmat.b)
+    a_max = math.nan
+    if setting == "auto" or gamma_lower > 0:
+        a_max = alpha_max(params.m, gamma_lower, matrix_m)
     if setting == "auto":
         alpha = 1.0 if not math.isfinite(a_max) else 0.5 * a_max
     else:
@@ -241,9 +244,7 @@ def run_lyapunov(scenario: Scenario, outdir: str) -> dict:
         solver=scenario.solver_options(),
         sample_dt=scenario.run["sample_dt"],
     )
-    samples = lyapunov_series(
-        traj, game, protocol, params, alpha, matrix_m, sysmat.b
-    )
+    samples = lyapunov_series(traj, game, protocol, params, alpha, matrix_m)
     csv_name = "lyapunov.csv"
     write_lyapunov_csv(os.path.join(outdir, csv_name), samples)
     summary = {

@@ -1,9 +1,9 @@
 """Certificates and diagnostics for the Erlang revision dynamics.
 
-The stage-mismatch state obeys a linear system (A, B) driven by the
-aggregate velocity; its gain constant sigma_bar, the worst-case switch
-rate c, and the contractivity margins combine into the revision-rate
-threshold lambda_lower.  The Lyapunov machinery (matrix M, value L_alpha,
+The stage-mismatch state obeys a linear system (K kron I_n, e_1 kron I_n)
+driven by the aggregate velocity; its gain constant sigma_bar, the
+worst-case switch rate c, and the contractivity margins combine into the
+revision-rate threshold lambda_lower.  The Lyapunov machinery (matrix M, value L_alpha,
 and the P/Q split of dL/dt) provides the runtime checks: P is the
 dissipation term, nonnegative by construction, and dL/dt = -P + Q.
 """
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 from scipy.optimize import minimize
 
-from .dynamics import ErlangParams, Trajectory, field_function, rk4_step
+from .dynamics import ErlangParams, Trajectory, field_function
 from .errors import (
     InvalidOrder,
     NonContractive,
@@ -27,50 +27,24 @@ from .errors import (
 )
 from .games import Game, contractivity_margins, is_potential, sample_simplex
 from .protocols import RevisionProtocol, switch_rate_matrix
-from .states import ExtendedState
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    a: np.ndarray  # n(m-1) x n(m-1)
-    b: np.ndarray  # n(m-1) x n
-    n: int
-    m: int
+from .states import ExtendedState, tilde
 
 
 def stage_coupling(m: int) -> np.ndarray:
     """The (m-1) x (m-1) block K driving the stage-mismatch state.
 
     -1 on the diagonal (doubled in the last entry by the last column),
-    1 on the subdiagonal, -1 down the last column.
-    """
-    K = -np.eye(m - 1)
-    if m > 2:
-        K += np.diag(np.ones(m - 2), -1)
-    K[:, -1] -= 1.0
-    return K
-
-
-def build_system_matrices(n: int, m: int) -> SystemMatrices:
-    """A = K kron I_n, B = e_1 kron I_n; empty for m = 1.
-
-    The mismatch state evolves as d/dt xt = lambda A xt + B u with u the
-    aggregate velocity.  A is verified Hurwitz at construction.
+    1 on the subdiagonal, -1 down the last column; empty for m = 1.  The
+    mismatch system is A = K kron I_n, B = e_1 kron I_n, so every
+    certificate object below is built from K and e_1 alone.
     """
     if m < 1:
         raise InvalidOrder(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if m == 1:
-        return SystemMatrices(a=np.zeros((0, 0)), b=np.zeros((0, n)), n=n, m=m)
-    A = np.kron(stage_coupling(m), np.eye(n))
-    e1 = np.zeros((m - 1, 1))
-    e1[0, 0] = 1.0
-    B = np.kron(e1, np.eye(n))
-    eigs = np.linalg.eigvals(A)
-    if eigs.real.max() >= 0:
-        raise NumericalFailure(f"A not Hurwitz for n={n}, m={m}")
-    return SystemMatrices(a=A, b=B, n=n, m=m)
+    K = -np.eye(m - 1)
+    if m > 1:
+        K += np.eye(m - 1, k=-1)
+        K[:, -1] -= 1.0
+    return K
 
 
 def sigma_bar_closed_form(m: int) -> float:
@@ -85,16 +59,25 @@ def sigma_bar_closed_form(m: int) -> float:
     return math.sqrt((2 * m * m - 3 * m + 1) / (6 * m))
 
 
-def _sigma_at(A: np.ndarray, B: np.ndarray, w: float) -> float:
-    N = A.shape[0]
-    G = np.linalg.solve(1j * w * np.eye(N) - A, B)
-    return float(np.linalg.svd(G, compute_uv=False)[0])
+def _gain(K: np.ndarray, w) -> np.ndarray:
+    """||(jwI - K)^(-1) e_1|| at each frequency in w, in one batched solve."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    k = K.shape[0]
+    lhs = np.repeat(-K[None].astype(complex), w.size, axis=0)
+    lhs[:, range(k), range(k)] += 1j * w[:, None]
+    e1 = np.eye(k, 1)
+    return np.linalg.norm(np.linalg.solve(lhs, e1)[..., 0], axis=-1)
 
 
-def sigma_sweep(A: np.ndarray, B: np.ndarray, points: int = 4096) -> float:
-    """Dense frequency sweep with golden-section refinement of the peak."""
+def sigma_sweep(m: int, points: int = 4096) -> float:
+    """Dense frequency sweep of the gain of (K, e_1) with golden-section
+    refinement of the peak."""
+    if m < 2:
+        raise InvalidOrder(f"sweep needs m >= 2, got {m}")
+    K = stage_coupling(m)
+    gain_at = lambda w: float(_gain(K, w)[0])
     ws = np.concatenate([[0.0], np.logspace(-3, 3, points)])
-    vals = np.array([_sigma_at(A, B, w) for w in ws])
+    vals = _gain(K, ws)
     k = int(np.argmax(vals))
     lo = ws[max(k - 1, 0)]
     hi = ws[min(k + 1, len(ws) - 1)]
@@ -104,27 +87,29 @@ def sigma_sweep(A: np.ndarray, B: np.ndarray, points: int = 4096) -> float:
         a, b = lo, hi
         c = b - gr * (b - a)
         d = a + gr * (b - a)
-        fc, fd = _sigma_at(A, B, c), _sigma_at(A, B, d)
+        fc, fd = gain_at(c), gain_at(d)
         for _ in range(200):
             if fc > fd:
                 b, d, fd = d, c, fc
                 c = b - gr * (b - a)
-                fc = _sigma_at(A, B, c)
+                fc = gain_at(c)
             else:
                 a, c, fc = c, d, fd
                 d = a + gr * (b - a)
-                fd = _sigma_at(A, B, d)
+                fd = gain_at(d)
             if b - a < 1e-13 * max(1.0, b):
                 break
         best = max(best, fc, fd)
     return best
 
 
-def _hamiltonian_has_imag_eig(A: np.ndarray, B: np.ndarray, gamma: float) -> bool:
-    N = A.shape[0]
+def _hamiltonian_has_imag_eig(K: np.ndarray, gamma: float) -> bool:
+    k = K.shape[0]
+    R = np.zeros((k, k))
+    R[0, 0] = 1.0 / gamma**2  # e_1 e_1' / gamma^2
     H = np.block([
-        [A, (B @ B.T) / gamma**2],
-        [-np.eye(N), -A.T],
+        [K, R],
+        [-np.eye(k), -K.T],
     ])
     eigs = np.linalg.eigvals(H)
     if not np.all(np.isfinite(eigs)):
@@ -136,35 +121,40 @@ def sigma_bar_bisection(n: int, m: int, tol: float = 1e-8) -> float:
     """Supremum over frequencies of the largest singular value of
     (jwI - A)^(-1) B, to within tol.
 
+    That matrix is ((jwI - K)^(-1) e_1) kron I_n, whose largest singular
+    value is the norm of the vector factor, so the gain depends on m alone:
+    n is checked and otherwise unused.
+
     Bisection on the gain level using the imaginary-axis-eigenvalue test of
     the associated Hamiltonian matrix: the test matrix has an imaginary
     eigenvalue exactly when the level is below the norm.  A dense frequency
     sweep cross-checks the result and serves as the fallback if the
     eigenvalue solves fail.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if m < 2:
         raise InvalidOrder(f"bisection needs m >= 2, got {m}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    sysm = build_system_matrices(n, m)
-    A, B = sysm.a, sysm.b
+    K = stage_coupling(m)
     try:
-        lower = max(_sigma_at(A, B, 0.0), _sigma_at(A, B, 1.0 / np.linalg.norm(A, 2)))
-        upper = 2.0 * np.linalg.norm(B, 2) * np.linalg.norm(np.linalg.inv(A), 2)
+        lower = float(_gain(K, [0.0, 1.0 / np.linalg.norm(K, 2)]).max())
+        upper = 2.0 * np.linalg.norm(np.linalg.inv(K), 2)  # ||e_1|| = 1
         if upper <= lower:
             upper = 2.0 * lower
-        while _hamiltonian_has_imag_eig(A, B, upper):
+        while _hamiltonian_has_imag_eig(K, upper):
             upper *= 2.0
         while upper - lower > tol:
             mid = 0.5 * (lower + upper)
-            if _hamiltonian_has_imag_eig(A, B, mid):
+            if _hamiltonian_has_imag_eig(K, mid):
                 lower = mid
             else:
                 upper = mid
         value = 0.5 * (lower + upper)
     except NumericalFailure:
-        return sigma_sweep(A, B)
-    check = sigma_sweep(A, B, points=1024)
+        return sigma_sweep(m)
+    check = sigma_sweep(m, points=1024)
     if check > value + 10.0 * tol + 1e-12:
         raise NumericalFailure(
             f"bisection value {value} misses sweep lower bound {check}"
@@ -247,14 +237,18 @@ def lambda_lower_bound(
     return 2.0 * c * sigma_bar * math.sqrt(n * gamma_upper / ((m + 1) * gamma_lower))
 
 
-def solve_lyapunov(sysmat: SystemMatrices) -> np.ndarray:
-    """Symmetric positive-definite M with A'M + MA = -I, residual <= 1e-10."""
-    if sysmat.m == 1:
+def solve_lyapunov(m: int) -> np.ndarray:
+    """Symmetric positive-definite M_K with K'M_K + M_K K = -I, residual
+    <= 1e-10; empty for m = 1.  M = M_K kron I_n solves it for A = K kron
+    I_n.  The positive-definite check also guards that K is Hurwitz.
+    """
+    K = stage_coupling(m)
+    if m == 1:
         return np.zeros((0, 0))
-    A = sysmat.a
-    M = solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
+    eye = np.eye(m - 1)
+    M = solve_continuous_lyapunov(K.T, -eye)
     M = 0.5 * (M + M.T)
-    residual = np.linalg.norm(A.T @ M + M @ A + np.eye(A.shape[0]), 2)
+    residual = np.linalg.norm(K.T @ M + M @ K + eye, 2)
     if not np.isfinite(residual) or residual > 1e-10:
         raise NumericalFailure(f"Lyapunov residual {residual:.3e} exceeds 1e-10")
     if np.linalg.eigvalsh(M).min() <= 0:
@@ -262,15 +256,16 @@ def solve_lyapunov(sysmat: SystemMatrices) -> np.ndarray:
     return M
 
 
-def alpha_max(m: int, gamma_lower: float, M: np.ndarray, B: np.ndarray) -> float:
+def alpha_max(m: int, gamma_lower: float, M: np.ndarray) -> float:
     """Upper end (m+1) gamma_lower / (2 ||MB||_2^2) of the admissible
-    weighting interval; +inf when m = 1 (no mismatch term exists)."""
+    weighting interval; +inf when m = 1 (no mismatch term exists).  With
+    M = M_K from solve_lyapunov, ||MB||_2 is the norm of M_K e_1.
+    """
     if gamma_lower <= 0:
         raise NonContractive(f"gamma_lower must be positive, got {gamma_lower}")
-    if m == 1 or M.size == 0:
+    if m == 1:
         return math.inf
-    norm_mb = np.linalg.norm(M @ B, 2)
-    return (m + 1) * gamma_lower / (2.0 * norm_mb**2)
+    return (m + 1) * gamma_lower / (2.0 * np.linalg.norm(M[:, 0]) ** 2)
 
 
 def _grid_of(x) -> np.ndarray:
@@ -280,8 +275,10 @@ def _grid_of(x) -> np.ndarray:
 def lyapunov_value(x, p, alpha: float, protocol: RevisionProtocol, M: np.ndarray) -> float:
     """L_alpha = sum_i xbar_i sum_j Psi_j(p_j - p_i) + alpha xt' M xt.
 
-    Zero exactly on the extended-equilibrium set of the game that produced
-    the payoffs; requires an impartial protocol (the Psi_j exist).
+    With M = M_K from solve_lyapunov and D' the mismatch blocks of `tilde`,
+    the mismatch term is sum(M_K * D'D).  Zero exactly on the
+    extended-equilibrium set of the game that produced the payoffs;
+    requires an impartial protocol (the Psi_j exist).
     """
     if not protocol.is_impartial:
         raise NotImpartial(f"protocol {protocol.name!r} is not impartial")
@@ -289,14 +286,9 @@ def lyapunov_value(x, p, alpha: float, protocol: RevisionProtocol, M: np.ndarray
         raise ValueError("alpha must be positive")
     g = _grid_of(x)
     pv = np.asarray(getattr(p, "entries", p), dtype=float)
-    m = g.shape[1]
-    xbar = g.sum(axis=1)
-    S = protocol.psi_totals(pv)
-    value = float(xbar @ S)
-    if m > 1:
-        s = (g[:, : m - 1] - g[:, [m - 1]]).T.ravel()
-        value += alpha * float(s @ M @ s)
-    return value
+    Dt = tilde(g).blocks
+    value = float(g.sum(axis=1) @ protocol.psi_totals(pv))
+    return value + alpha * float(np.sum(M * (Dt @ Dt.T)))
 
 
 def pq_decomposition(
@@ -306,18 +298,17 @@ def pq_decomposition(
     params: ErlangParams,
     alpha: float,
     M: np.ndarray,
-    B: np.ndarray,
 ) -> tuple[float, float]:
     """Split dL_alpha/dt = -P + Q along the dynamics.
 
-    P = alpha lambda ||xt||^2 + sum_{i != j} T_ji x_{j,m} (S(j) - S(i))
-    with S as in lyapunov_value; both parts are nonnegative for any game,
-    because switches only run from lower to higher payoffs and Psi totals
-    order the same way.  Q collects the payoff-velocity terms
-    m xbardot' pdot + sum_l ddelta_l' pdot + 2 alpha xt' M B xbardot with
-    ddelta_l the net-flow image of the l-th mismatch block; the identity
-    relies on M solving the Lyapunov equation for A.  Contractivity is not
-    checked here; it only sharpens how negative Q eventually becomes.
+    P = alpha lambda ||D||_F^2 + sum_{i != j} T_ji x_{j,m} (S(j) - S(i))
+    with D and S as in lyapunov_value; both parts are nonnegative for any
+    game, because switches only run from lower to higher payoffs and Psi
+    totals order the same way.  Q collects the payoff-velocity terms
+    m xbardot' pdot + (phi D 1)' pdot + 2 alpha xbardot' D M_K e_1 with phi
+    the generator of the aggregate flow; the identity relies on M_K solving
+    the Lyapunov equation for K.  Contractivity is not checked here; it
+    only sharpens how negative Q eventually becomes.
     """
     if not protocol.is_impartial:
         raise NotImpartial(f"protocol {protocol.name!r} is not impartial")
@@ -337,18 +328,12 @@ def pq_decomposition(
     S = protocol.psi_totals(p)
     offsum = lam - np.diag(T)
     phi_od = phi_net - np.diag(np.diag(phi_net))
-    if m > 1:
-        s = (g[:, : m - 1] - g[:, [m - 1]]).T.ravel()
-    else:
-        s = np.zeros(0)
-    P = alpha * lam * float(s @ s) + float((offsum * S) @ z) - float(S @ (phi_od @ z))
+    Dt = tilde(g).blocks
+    P = alpha * lam * float(np.vdot(Dt, Dt)) + float((offsum * S) @ z) - float(S @ (phi_od @ z))
 
-    Q = m * float(xbardot @ pdot)
-    if m > 1:
-        blocks = g[:, : m - 1] - g[:, [m - 1]]  # columns are mismatch blocks
-        ddelta_sum = phi_net @ blocks.sum(axis=1)
-        Q += float(ddelta_sum @ pdot)
-        Q += 2.0 * alpha * float(s @ (M @ (B @ xbardot)))
+    Q = m * float(xbardot @ pdot) + float((phi_net @ Dt.sum(axis=0)) @ pdot)
+    # M[:1] is e_1' M_K as a row, empty when m = 1
+    Q += 2.0 * alpha * float(np.sum(M[:1] @ (Dt @ xbardot)))
     return P, Q
 
 
@@ -368,32 +353,32 @@ def lyapunov_series(
     params: ErlangParams,
     alpha: float,
     M: np.ndarray,
-    B: np.ndarray,
     times=None,
     fd_step: float = 1e-4,
 ) -> list[LyapunovSample]:
     """L, P, Q and a finite-difference dL/dt at chosen trajectory times.
 
-    The derivative uses one short integrator step forward and backward from
-    the sampled state rather than differencing the dense interpolant; the
-    local truncation error is far below the interpolant's noise floor.
+    The derivative is a central difference of L along the field direction,
+    (L(y + h f(y)) - L(y - h f(y))) / 2h with h = fd_step: one field
+    evaluation per sample, an O(h^2) error, and no use of the P/Q formulas,
+    so dL_dt_fd + P - Q checks them independently.
     """
     times = traj.times if times is None else np.asarray(times, dtype=float)
     f = field_function(game, protocol, params)
+
+    def value_at(y: np.ndarray) -> float:
+        grid = y.reshape(params.n, params.m)
+        p = np.asarray(game.payoff(grid.sum(axis=1)), dtype=float)
+        return lyapunov_value(grid, p, alpha, protocol, M)
+
     out = []
     for t, grid in zip(times, traj.interp_raw(times)):
         y = grid.ravel()
-        p = np.asarray(game.payoff(grid.sum(axis=1)), dtype=float)
-        L = lyapunov_value(grid, p, alpha, protocol, M)
-        P, Q = pq_decomposition(grid, game, protocol, params, alpha, M, B)
-        y_plus = rk4_step(f, float(t), y, fd_step)
-        y_minus = rk4_step(f, float(t), y, -fd_step)
-        gp = y_plus.reshape(params.n, params.m)
-        gm = y_minus.reshape(params.n, params.m)
-        Lp = lyapunov_value(gp, np.asarray(game.payoff(gp.sum(axis=1)), dtype=float), alpha, protocol, M)
-        Lm = lyapunov_value(gm, np.asarray(game.payoff(gm.sum(axis=1)), dtype=float), alpha, protocol, M)
+        P, Q = pq_decomposition(grid, game, protocol, params, alpha, M)
+        step = fd_step * f(float(t), y)
         out.append(LyapunovSample(
-            t=float(t), L=L, P=P, Q=Q, dL_dt_fd=(Lp - Lm) / (2.0 * fd_step),
+            t=float(t), L=value_at(y), P=P, Q=Q,
+            dL_dt_fd=(value_at(y + step) - value_at(y - step)) / (2.0 * fd_step),
         ))
     return out
 
@@ -421,7 +406,6 @@ class StabilityReport:
     lam: float
     certified: bool
     is_potential: bool
-    matrix_m: np.ndarray
     literal_gamma_lower: float
     literal_gamma_upper: float
     literal_c: float
@@ -485,9 +469,7 @@ def stability_report(
         sigma_method = "bisection"
 
     lam_lower = lambda_lower_bound(g_up, g_lo, c_eff, sigma, params.n, params.m)
-    sysm = build_system_matrices(params.n, params.m)
-    M = solve_lyapunov(sysm)
-    a_max = alpha_max(params.m, g_lo, M, sysm.b)
+    a_max = alpha_max(params.m, g_lo, solve_lyapunov(params.m))
     certified = bool(protocol.is_impartial and g_lo > 0 and params.lam > lam_lower)
     return StabilityReport(
         gamma_lower=g_lo,
@@ -503,7 +485,6 @@ def stability_report(
         lam=params.lam,
         certified=certified,
         is_potential=is_potential(game),
-        matrix_m=M,
         literal_gamma_lower=margins.gamma_lower,
         literal_gamma_upper=margins.gamma_upper,
         literal_c=c_literal,

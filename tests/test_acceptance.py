@@ -184,17 +184,15 @@ def test_criterion_8_finite_population_agreement(rps_setup):
 def test_criterion_9_lyapunov_decomposition(rps_run, rps_setup):
     game, protocol, params, _ = rps_setup
     traj, _ = rps_run
-    sysmat = edm.build_system_matrices(params.n, params.m)
-    matrix_m = edm.solve_lyapunov(sysmat)
+    K = edm.stage_coupling(params.m)
+    matrix_m = edm.solve_lyapunov(params.m)
     residual = float(
-        np.linalg.norm(
-            sysmat.a.T @ matrix_m + matrix_m @ sysmat.a + np.eye(matrix_m.shape[0]), 2
-        )
+        np.linalg.norm(K.T @ matrix_m + matrix_m @ K + np.eye(matrix_m.shape[0]), 2)
     )
-    alpha = 0.5 * edm.alpha_max(params.m, 1.0, matrix_m, sysmat.b)
+    alpha = 0.5 * edm.alpha_max(params.m, 1.0, matrix_m)
     times = np.linspace(0.05, 49.5, 100)
     samples = edm.lyapunov_series(
-        traj, game, protocol, params, alpha, matrix_m, sysmat.b, times=times
+        traj, game, protocol, params, alpha, matrix_m, times=times
     )
     rel = max(abs(s.dL_dt_fd - (-s.P + s.Q)) / (1.0 + abs(s.Q)) for s in samples)
     min_p = min(s.P for s in samples)

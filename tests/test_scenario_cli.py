@@ -374,6 +374,27 @@ def test_cli_worker_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "stay rate" in capsys.readouterr().err
 
 
+def test_cli_lyapunov_explicit_alpha_needs_no_contractivity(tmp_path, capsys):
+    # the identity game is a coordination game, not contractive (gamma_lower
+    # = -1): an explicit alpha still gives L, P and Q, "auto" has no bound
+    doc = small_doc(
+        game={"matrix": np.eye(3).tolist()},
+        initial={"aggregate": [0.5, 0.3, 0.2]},
+        analysis={"alpha": 1.0},
+    )
+    doc["params"] = {"n": 3, "m": 3, "lambda": 5.0}
+    path = write_doc(tmp_path, doc)
+    assert cli.main(["lyapunov", path, "-o", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "lyapunov_summary.json").read_text())
+    assert summary["alpha"] == 1.0
+    assert summary["alpha_max"] is None
+    assert summary["gamma_lower"] < 0.0
+    doc["analysis"] = {"alpha": "auto"}
+    path = write_doc(tmp_path, doc, "auto.json")
+    assert cli.main(["lyapunov", path, "-o", str(tmp_path / "auto")]) == 5
+    assert "gamma_lower" in capsys.readouterr().err
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_continuous_lyapunov
 
 import erlang_edm as edm
 from conftest import congestion_game_61, rps_game_62
@@ -22,6 +22,16 @@ from erlang_edm.errors import (
 # beyond the closed form's reach
 SIGMA_HIGH_ORDER = {5: 1.124629724, 6: 1.327439604, 8: 1.776694283}
 
+# shapes on which the (m-1)-dimensional certificate objects are checked
+# against the full n(m-1)-dimensional mismatch system
+KRON_SHAPES = [(n, m) for n in (1, 3, 5) for m in (1, 2, 4, 6)]
+
+
+def kron_system(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference A = K kron I_n, B = e_1 kron I_n of the full mismatch system."""
+    K = edm.stage_coupling(m)
+    return np.kron(K, np.eye(n)), np.kron(np.eye(m - 1, 1), np.eye(n))
+
 
 def test_stage_coupling_matrix():
     K = edm.stage_coupling(4)
@@ -30,29 +40,17 @@ def test_stage_coupling_matrix():
     assert edm.stage_coupling(2).tolist() == [[-2.0]]
 
 
-def test_system_matrices_structure():
-    sysmat = edm.build_system_matrices(3, 4)
-    assert sysmat.a.shape == (9, 9)
-    assert sysmat.b.shape == (9, 3)
-    assert np.array_equal(sysmat.a, np.kron(edm.stage_coupling(4), np.eye(3)))
-    e1 = np.zeros((3, 1))
-    e1[0] = 1.0
-    assert np.array_equal(sysmat.b, np.kron(e1, np.eye(3)))
+def test_stage_coupling_hurwitz():
+    # K kron I_n has K's spectrum, so this covers the full system for every n
+    for m in (2, 3, 4, 6, 8):
+        eigs = np.linalg.eigvals(edm.stage_coupling(m))
+        assert np.max(eigs.real) < 0.0
 
 
-def test_system_matrices_hurwitz():
-    for n in (1, 2, 3, 5):
-        for m in (2, 3, 4, 6, 8):
-            sysmat = edm.build_system_matrices(n, m)
-            eigs = np.linalg.eigvals(sysmat.a)
-            assert np.max(eigs.real) < 0.0
-
-
-def test_system_matrices_edge_orders():
-    empty = edm.build_system_matrices(2, 1)
-    assert empty.a.shape == (0, 0)
+def test_stage_coupling_edge_orders():
+    assert edm.stage_coupling(1).shape == (0, 0)
     with pytest.raises(InvalidOrder):
-        edm.build_system_matrices(2, 0)
+        edm.stage_coupling(0)
 
 
 def test_sigma_closed_form_values():
@@ -80,11 +78,14 @@ def test_sigma_bisection_high_orders():
 def test_sigma_bisection_rejects_degenerate_order():
     with pytest.raises(InvalidOrder):
         edm.sigma_bar_bisection(2, 1)
+    with pytest.raises(InvalidOrder):
+        edm.sigma_sweep(1)
+    with pytest.raises(ValueError):
+        edm.sigma_bar_bisection(0, 3)
 
 
 def test_sigma_sweep_agrees_with_bisection():
-    sysmat = edm.build_system_matrices(1, 4)
-    swept = edm.sigma_sweep(sysmat.a, sysmat.b)
+    swept = edm.sigma_sweep(4)
     assert swept == pytest.approx(edm.sigma_bar_bisection(1, 4), abs=1e-6)
 
 
@@ -133,46 +134,99 @@ def test_lambda_lower_bound_directions():
 
 
 def test_solve_lyapunov_residual_and_quadrature():
-    sysmat = edm.build_system_matrices(3, 4)
-    M = edm.solve_lyapunov(sysmat)
+    K = edm.stage_coupling(4)
+    M = edm.solve_lyapunov(4)
     k = M.shape[0]
-    residual = np.linalg.norm(sysmat.a.T @ M + M @ sysmat.a + np.eye(k), 2)
+    residual = np.linalg.norm(K.T @ M + M @ K + np.eye(k), 2)
     assert residual <= 1e-10
     assert np.allclose(M, M.T, atol=1e-14)
     assert np.min(np.linalg.eigvalsh(M)) > 0.0
-    # independent route: M = integral of e^{A^T t} e^{A t} dt
+    # independent route: M = integral of e^{K^T t} e^{K t} dt
     quad, _ = quad_vec(
-        lambda t: expm(sysmat.a.T * t) @ expm(sysmat.a * t), 0.0, 60.0,
+        lambda t: expm(K.T * t) @ expm(K * t), 0.0, 60.0,
         epsabs=1e-12,
     )
     assert np.max(np.abs(M - quad)) <= 1e-8
 
 
 def test_solve_lyapunov_m1_is_empty():
-    empty = edm.solve_lyapunov(edm.build_system_matrices(2, 1))
+    empty = edm.solve_lyapunov(1)
     assert empty.shape == (0, 0)
 
 
 def test_alpha_max_reference_values():
-    sysmat = edm.build_system_matrices(3, 4)
-    M = edm.solve_lyapunov(sysmat)
-    assert np.linalg.norm(M @ sysmat.b, 2) == pytest.approx(
+    _, B = kron_system(3, 4)
+    M = edm.solve_lyapunov(4)
+    assert np.linalg.norm(np.kron(M, np.eye(3)) @ B, 2) == pytest.approx(
         0.6576473218982941, abs=1e-12
     )
-    assert edm.alpha_max(4, 1.0, M, sysmat.b) == pytest.approx(
+    assert edm.alpha_max(4, 1.0, M) == pytest.approx(
         5.780346820809268, abs=1e-12
     )
     with pytest.raises(NonContractive):
-        edm.alpha_max(4, 0.0, M, sysmat.b)
-    assert np.isinf(
-        edm.alpha_max(1, 1.0, np.zeros((0, 0)), np.zeros((0, 2)))
-    )
+        edm.alpha_max(4, 0.0, M)
+    assert np.isinf(edm.alpha_max(1, 1.0, np.zeros((0, 0))))
+
+
+@pytest.mark.parametrize("n, m", KRON_SHAPES)
+def test_lyapunov_weight_matches_full_system(n, m):
+    A, B = kron_system(n, m)
+    assert A.shape == (n * (m - 1),) * 2 and B.shape == (n * (m - 1), n)
+    M_K = edm.solve_lyapunov(m)
+    M = np.kron(M_K, np.eye(n))
+    if m > 1:
+        full = solve_continuous_lyapunov(A.T, -np.eye(A.shape[0]))
+        assert np.max(np.abs(M - full)) <= 1e-13
+        gamma = 0.7
+        mb = np.linalg.norm(M @ B, 2)
+        assert edm.alpha_max(m, gamma, M_K) == pytest.approx(
+            (m + 1) * gamma / (2.0 * mb**2), rel=1e-13
+        )
+    else:
+        assert M.shape == (0, 0) and np.isinf(edm.alpha_max(m, 0.7, M_K))
+
+
+@pytest.mark.parametrize("n, m", KRON_SHAPES)
+def test_lyapunov_terms_match_full_system(n, m):
+    # L and the P/Q split against the n(m-1)-dimensional formulas
+    # s'Ms, alpha lambda ||s||^2 and 2 alpha s'MB xbardot
+    rng = np.random.default_rng(100 * n + m)
+    game = edm.linear_game(rng.uniform(-1.0, 1.0, (n, n)))
+    lam = 3.0 * n  # above the worst Smith switch rate 2(n-1)
+    proto = edm.smith_protocol(n, lam)
+    params = edm.ErlangParams(n, m, lam)
+    M_K = edm.solve_lyapunov(m)
+    _, B = kron_system(n, m)
+    M = np.kron(M_K, np.eye(n))
+    alpha = 0.8
+    for _ in range(10):
+        grid = rng.dirichlet(np.ones(n * m)).reshape(n, m)
+        xbar = grid.sum(axis=1)
+        p = np.asarray(game.payoff(xbar), dtype=float)
+        s = edm.tilde(grid).stacked()
+        S = proto.psi_totals(p)
+        L = edm.lyapunov_value(grid, p, alpha, proto, M_K)
+        assert L == pytest.approx(xbar @ S + alpha * (s @ M @ s), rel=1e-13, abs=1e-15)
+
+        T = edm.switch_rate_matrix(proto, xbar, p)
+        phi_net = T.T - lam * np.eye(n)
+        z = grid[:, m - 1]
+        xbardot = phi_net @ z
+        pdot = np.asarray(game.jacobian(xbar), dtype=float) @ xbardot
+        phi_od = phi_net - np.diag(np.diag(phi_net))
+        P_ref = (alpha * lam * (s @ s) + ((lam - np.diag(T)) * S) @ z
+                 - S @ (phi_od @ z))
+        blocks = s.reshape(m - 1, n).sum(axis=0)
+        Q_ref = (m * (xbardot @ pdot) + (phi_net @ blocks) @ pdot
+                 + 2.0 * alpha * (s @ (M @ (B @ xbardot))))
+        P, Q = edm.pq_decomposition(grid, game, proto, params, alpha, M_K)
+        assert P == pytest.approx(P_ref, rel=1e-12, abs=1e-14)
+        assert Q == pytest.approx(Q_ref, rel=1e-12, abs=1e-14)
 
 
 def test_lyapunov_value_zero_at_equilibrium():
     proto = edm.smith_protocol(3, 5.8)
-    sysmat = edm.build_system_matrices(3, 4)
-    M = edm.solve_lyapunov(sysmat)
+    M = edm.solve_lyapunov(4)
     xstar = edm.uniform_extension(np.full(3, 1.0 / 3.0), 4)
     p_eq = rps_game_62().payoff(np.full(3, 1.0 / 3.0))
     assert edm.lyapunov_value(xstar, p_eq, 1.0, proto, M) == pytest.approx(
@@ -187,8 +241,7 @@ def test_lyapunov_value_zero_at_equilibrium():
 
 
 def test_lyapunov_value_requires_impartial():
-    sysmat = edm.build_system_matrices(3, 2)
-    M = edm.solve_lyapunov(sysmat)
+    M = edm.solve_lyapunov(2)
     xstar = edm.uniform_extension(np.full(3, 1.0 / 3.0), 2)
     with pytest.raises(NotImpartial):
         edm.lyapunov_value(xstar, np.zeros(3), 1.0, edm.null_protocol(3, 5.8), M)
@@ -201,12 +254,11 @@ def test_pq_nonnegative_p_at_random_states():
     lam = 8.0
     proto = edm.smith_protocol(3, lam)
     params = edm.ErlangParams(3, 4, lam)
-    sysmat = edm.build_system_matrices(3, 4)
-    M = edm.solve_lyapunov(sysmat)
+    M = edm.solve_lyapunov(4)
     rng = np.random.default_rng(12)
     for _ in range(50):
         grid = rng.dirichlet(np.ones(12)).reshape(3, 4)
-        P, Q = edm.pq_decomposition(grid, game, proto, params, 1.5, M, sysmat.b)
+        P, Q = edm.pq_decomposition(grid, game, proto, params, 1.5, M)
         assert P >= -1e-12
         assert np.isfinite(Q)
 
@@ -214,11 +266,10 @@ def test_pq_nonnegative_p_at_random_states():
 def test_lyapunov_series_decreases_overall(rps_run, rps_setup):
     game, proto, params, _ = rps_setup
     traj, _ = rps_run
-    sysmat = edm.build_system_matrices(params.n, params.m)
-    M = edm.solve_lyapunov(sysmat)
-    alpha = 0.5 * edm.alpha_max(params.m, 1.0, M, sysmat.b)
+    M = edm.solve_lyapunov(params.m)
+    alpha = 0.5 * edm.alpha_max(params.m, 1.0, M)
     samples = edm.lyapunov_series(
-        traj, game, proto, params, alpha, M, sysmat.b,
+        traj, game, proto, params, alpha, M,
         times=np.array([0.0, 5.0, 40.0]),
     )
     values = [s.L for s in samples]
@@ -231,9 +282,9 @@ def test_integrated_q_bound(rps_run, rps_setup):
     # mismatch: int_0^t Q <= (alpha + 2 gamma_upper n c^2) |e^{lam A t} s0|^2
     game, proto, params, x0 = rps_setup
     traj, _ = rps_run
-    sysmat = edm.build_system_matrices(params.n, params.m)
-    M = edm.solve_lyapunov(sysmat)
-    alpha = 0.5 * edm.alpha_max(params.m, 1.0, M, sysmat.b)
+    A, _ = kron_system(params.n, params.m)
+    M = edm.solve_lyapunov(params.m)
+    alpha = 0.5 * edm.alpha_max(params.m, 1.0, M)
     gamma_upper, c = 1.0, 4.0
     s0 = edm.tilde(x0).stacked()
     factor = alpha + 2.0 * gamma_upper * params.n * c**2
@@ -242,13 +293,11 @@ def test_integrated_q_bound(rps_run, rps_setup):
         qs = []
         for t in grid:
             state = traj.interp_raw(t)
-            _, q = edm.pq_decomposition(
-                state, game, proto, params, alpha, M, sysmat.b
-            )
+            _, q = edm.pq_decomposition(state, game, proto, params, alpha, M)
             qs.append(q)
         integral = np.trapezoid(np.asarray(qs), grid)
         bound = factor * np.linalg.norm(
-            expm(params.lam * sysmat.a * t_end) @ s0
+            expm(params.lam * A * t_end) @ s0
         ) ** 2
         assert integral <= bound + 1e-9
 
